@@ -1,5 +1,6 @@
 import os
 import sys
+from pathlib import Path
 
 
 def _driver_mem() -> str:
@@ -50,30 +51,21 @@ os.environ.setdefault(
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+sys.path.insert(0, str(Path(__file__).resolve().parent / "jobs"))
+from _common import get_spark  # noqa: E402
+
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    pre-JVM-launch); the session configs are the jobs' own, from
+    ``jobs/_common.get_spark``.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    s = get_spark("repro")
+    # One stderr line that tells whether the cgroup derivation saw the
+    # real limit (README § Spark target).
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "

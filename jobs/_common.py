@@ -13,6 +13,11 @@ from pyspark.sql import SparkSession
 
 
 def get_spark(app: str) -> SparkSession:
+    """The one session factory: jobs, tests and the benchmark use it.
+
+    Broadcast joins are disabled so the joins exercise the shuffle path
+    at these small scales.
+    """
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "64")

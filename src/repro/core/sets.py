@@ -270,11 +270,6 @@ class HashSet:
         return isinstance(other, HashSet) and self.s == other.s
 
 
-SET_REPRS = {"sorted": SortedSet, "hash": HashSet}
-# BitmapSet needs a universe size, so kernels construct it via
-# ``make_set_factory`` instead of the bare class.
-
-
 def make_set_factory(repr_name: str, universe: int):
     """Return ``items -> Set`` for the named representation.
 
@@ -282,10 +277,11 @@ def make_set_factory(repr_name: str, universe: int):
     ignore it. This is the single point where a kernel picks its set
     representation (paper's 5+ modularity).
     """
+    if repr_name == "sorted":
+        return SortedSet
     if repr_name == "bitmap":
         return lambda items=(): BitmapSet(items, n=universe)
-    if repr_name in SET_REPRS:
-        cls = SET_REPRS[repr_name]
-        return lambda items=(): cls(items)
+    if repr_name == "hash":
+        return HashSet
     raise ValueError(f"unknown set representation {repr_name!r}; "
                      f"expected one of sorted|bitmap|hash")

@@ -6,15 +6,35 @@ threshold — the set-intersection cardinality again). Clusters are the
 connected components of the thresholded edge set.
 
 Connected components run as iterative min-label propagation in
-Catalyst (also reused by the community-detection substrate).
+Catalyst; its fixpoint loop, ``label_fixpoint``, also drives label
+propagation in ``repro.learning.community``.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import sets
 from repro.core.graph import Graph
+
+
+def label_fixpoint(labels: DataFrame, step: Callable[[DataFrame], DataFrame],
+                   max_iter: int) -> DataFrame:
+    """Apply ``step`` to (vertex, label) rows until no label changes.
+
+    Runs at most ``max_iter`` synchronous rounds. Each round's labels are
+    checkpointed so the plan does not grow with the rounds.
+    """
+    labels = labels.localCheckpoint(eager=True)
+    for _ in range(max_iter):
+        new = step(labels).localCheckpoint(eager=True)
+        changed = new.subtract(labels).limit(1).count()
+        labels = new
+        if changed == 0:
+            break
+    return labels
 
 
 def connected_components(edges: DataFrame, vertices: DataFrame,
@@ -27,34 +47,22 @@ def connected_components(edges: DataFrame, vertices: DataFrame,
     sym = edges.unionByName(
         edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
     ).localCheckpoint(eager=True)
-    labels = vertices.select("vertex", F.col("vertex").alias("component"))
-    labels = labels.localCheckpoint(eager=True)
-    for _ in range(max_iter):
+
+    def step(labels: DataFrame) -> DataFrame:
         nbr_min = (
             sym.join(labels.withColumnRenamed("vertex", "dst"), "dst")
             .groupBy(F.col("src").alias("vertex"))
             .agg(F.min("component").alias("nbr_component"))
         )
-        new = (
-            labels.join(nbr_min, "vertex", "left")
-            .select(
-                "vertex",
-                F.least(
-                    "component", F.coalesce("nbr_component", "component")
-                ).alias("component"),
-            )
-            .localCheckpoint(eager=True)
+        return labels.join(nbr_min, "vertex", "left").select(
+            "vertex",
+            F.least(
+                "component", F.coalesce("nbr_component", "component")
+            ).alias("component"),
         )
-        changed = (
-            new.join(labels.withColumnRenamed("component", "old"), "vertex")
-            .where(F.col("component") != F.col("old"))
-            .limit(1)
-            .count()
-        )
-        labels = new
-        if changed == 0:
-            break
-    return labels
+
+    labels = vertices.select("vertex", F.col("vertex").alias("component"))
+    return label_fixpoint(labels, step, max_iter)
 
 
 def jarvis_patrick(graph: Graph, j: int) -> DataFrame:

@@ -11,15 +11,14 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
+from repro.learning.clustering import label_fixpoint
 
 
 def label_propagation(graph: Graph, max_iter: int = 20) -> DataFrame:
     """(vertex, community) after synchronous label propagation."""
     sym = graph.symmetric_edges().localCheckpoint(eager=True)
-    labels = graph.adjacency().select(
-        "vertex", F.col("vertex").alias("community")
-    ).localCheckpoint(eager=True)
-    for _ in range(max_iter):
+
+    def step(labels: DataFrame) -> DataFrame:
         counted = (
             sym.join(
                 labels.select(F.col("vertex").alias("dst"), "community"), "dst"
@@ -36,21 +35,10 @@ def label_propagation(graph: Graph, max_iter: int = 20) -> DataFrame:
                 ).alias("new_community")
             )
         )
-        new = (
-            labels.join(best, "vertex", "left")
-            .select(
-                "vertex",
-                F.coalesce("new_community", "community").alias("community"),
-            )
-            .localCheckpoint(eager=True)
+        return labels.join(best, "vertex", "left").select(
+            "vertex",
+            F.coalesce("new_community", "community").alias("community"),
         )
-        changed = (
-            new.join(labels.withColumnRenamed("community", "old"), "vertex")
-            .where(F.col("community") != F.col("old"))
-            .limit(1)
-            .count()
-        )
-        labels = new
-        if changed == 0:
-            break
-    return labels
+
+    labels = graph.adjacency().select("vertex", F.col("vertex").alias("community"))
+    return label_fixpoint(labels, step, max_iter)

@@ -1,20 +1,24 @@
-"""Exact degeneracy ordering (DGR) + k-core decomposition (paper §6.1).
+"""Peeling engine for DGR and ADG, exact degeneracy ordering + k-cores (§6.1).
 
-Parallel peeling: repeatedly remove *all* vertices whose degree in the
-remaining induced subgraph is ≤ the current minimum level k. Removing a
-whole batch keeps the ordering a valid degeneracy ordering (every batch
-member has ≤ k ≤ d remaining neighbours, however the batch is ordered
-internally) and each vertex's removal level is exactly its core number.
+Both orderings are the same set-algebra loop (paper Alg. 5): with U the
+remaining vertices, take the batch R = {v ∈ U : |N_U(v)| ≤ t} and set
+U ← U ∖ R. Only the per-round threshold t differs:
 
-This is the Θ(n)-round-worst-case scheme the paper contrasts with ADG's
-O(log n) rounds; the round count is surfaced through a
-``WorkDepthRecorder`` so Tables 5/6 can be validated empirically.
+* DGR (exact peeling): t = max(k, min deg_U), with k the previous round's
+  t. Removing a whole batch keeps the ordering a valid degeneracy ordering
+  (every batch member has ≤ t ≤ d remaining neighbours, however the batch
+  is ordered internally) and each vertex's t is exactly its core number.
+  This is the Θ(n)-round-worst-case scheme the paper contrasts with ADG's
+  O(log n) rounds.
+* ADG: t = (1+ε)·avg deg_U, see ``repro.orderings.adg``.
 
-Each round is one Spark job over the remaining-degrees DataFrame;
-``localCheckpoint`` truncates the lineage so plans do not grow linearly
-with rounds.
+The round count is surfaced through a ``WorkDepthRecorder`` so Tables 5/6
+can be validated empirically. ``localCheckpoint`` truncates the lineage
+each round so plans do not grow linearly with rounds.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
@@ -23,17 +27,63 @@ from repro.core.graph import Graph
 from repro.core.work_depth import WorkDepthRecorder
 
 
-def _remaining_degrees(sym_edges: DataFrame, remaining: DataFrame) -> DataFrame:
-    """Degrees of ``remaining`` vertices inside their induced subgraph."""
-    e = (
-        sym_edges.join(remaining.withColumnRenamed("vertex", "src"), "src")
-        .join(remaining.withColumnRenamed("vertex", "dst"), "dst")
-    )
-    deg = e.groupBy(F.col("src").alias("vertex")).agg(F.count("*").alias("deg"))
-    return (
-        remaining.join(deg, "vertex", "left")
-        .select("vertex", F.coalesce("deg", F.lit(0)).alias("deg"))
-    )
+def _residual_stats(degs: DataFrame) -> tuple[int, int, int]:
+    """(min deg, Σ deg, |U|) of the residual degree table, in one job."""
+    return tuple(degs.agg(F.min("deg"), F.sum("deg"), F.count("*")).first())
+
+
+def peel(
+    graph: Graph,
+    threshold: Callable[[int, int, int], float],
+    recorder: WorkDepthRecorder | None = None,
+) -> DataFrame:
+    """(vertex, rank, level) — peel batches of low residual degree.
+
+    Each round, ``threshold(min deg, Σ deg, |U|)`` over the residual
+    degrees gives t; every vertex with degree ≤ t leaves U with
+    ``level`` = t. The threshold must be ≥ the minimum degree, so each
+    round removes at least one vertex. ``rank`` is the peeling position:
+    batch i before batch i+1, vertex ID order inside a batch.
+    """
+    rec = recorder or WorkDepthRecorder()
+    sym = graph.symmetric_edges().localCheckpoint(eager=True)
+    degs = graph.degrees().localCheckpoint(eager=True)
+    min_deg, deg_sum, left = _residual_stats(degs)
+    n = left
+    batches: list[DataFrame] = []
+    while left:
+        rec.round()
+        t = threshold(min_deg, deg_sum, left)
+        # ``start``, the batch's first rank, also keys the batch.
+        batches.append(degs.where(F.col("deg") <= t).select(
+            "vertex", F.lit(n - left).alias("start"), F.lit(t).alias("level")))
+        kept = degs.where(F.col("deg") > t).select("vertex")
+        sym = (
+            sym.join(kept.withColumnRenamed("vertex", "src"), "src", "left_semi")
+            .join(kept.withColumnRenamed("vertex", "dst"), "dst", "left_semi")
+            .localCheckpoint(eager=True)
+        )
+        deg = sym.groupBy(F.col("src").alias("vertex")).agg(F.count("*").alias("deg"))
+        degs = (
+            kept.join(deg, "vertex", "left")
+            .select("vertex", F.coalesce("deg", F.lit(0)).alias("deg"))
+            .localCheckpoint(eager=True)
+        )
+        min_deg, deg_sum, now_left = _residual_stats(degs)
+        rec.touch(left - now_left)
+        left = now_left
+    if not batches:
+        spark = graph.edges.sparkSession
+        return spark.createDataFrame([], "vertex long, rank long, level long")
+    out = batches[0]
+    for b in batches[1:]:
+        out = out.unionByName(b)
+    w = Window.partitionBy("start").orderBy("vertex")
+    return out.select(
+        "vertex",
+        (F.col("start") + F.row_number().over(w) - 1).cast("long").alias("rank"),
+        "level",
+    ).localCheckpoint(eager=True)
 
 
 def core_decomposition(
@@ -45,43 +95,15 @@ def core_decomposition(
     vertex ID); ``core`` is the exact k-core number. The graph
     degeneracy is ``max(core)``.
     """
-    rec = recorder or WorkDepthRecorder()
-    sym = graph.symmetric_edges().localCheckpoint(eager=True)
-    remaining = graph.adjacency().select("vertex").localCheckpoint(eager=True)
-    out_batches: list[DataFrame] = []
     k = 0
-    next_rank = 0
-    spark = graph.edges.sparkSession
-    while True:
-        degs = _remaining_degrees(sym, remaining)
-        degs = degs.localCheckpoint(eager=True)
-        min_deg = degs.agg(F.min("deg")).first()[0]
-        if min_deg is None:
-            break
-        k = max(k, int(min_deg))
-        batch = degs.where(F.col("deg") <= k).select("vertex")
-        w = Window.orderBy(F.col("vertex").asc())
-        batch_ranked = (
-            batch.withColumn("rank", F.row_number().over(w) - 1 + F.lit(next_rank))
-            .withColumn("core", F.lit(k))
-            .select("vertex", F.col("rank").cast("long"), F.col("core").cast("long"))
-            .localCheckpoint(eager=True)
-        )
-        n_removed = batch_ranked.count()
-        rec.round()
-        rec.touch(n_removed)
-        out_batches.append(batch_ranked)
-        next_rank += n_removed
-        remaining = (
-            remaining.join(batch_ranked.select("vertex"), "vertex", "left_anti")
-            .localCheckpoint(eager=True)
-        )
-    if not out_batches:
-        return spark.createDataFrame([], "vertex long, rank long, core long")
-    out = out_batches[0]
-    for b in out_batches[1:]:
-        out = out.unionByName(b)
-    return out.localCheckpoint(eager=True)
+
+    def dgr(min_deg: int, deg_sum: int, count: int) -> int:
+        nonlocal k
+        k = max(k, min_deg)
+        return k
+
+    return peel(graph, dgr, recorder).select(
+        "vertex", "rank", F.col("level").cast("long").alias("core"))
 
 
 def degeneracy_order(

@@ -130,6 +130,24 @@ def test_empty_graph_core_decomposition(spark):
     g = Graph(spark.createDataFrame([], "src long, dst long"))
     assert core_decomposition(g).count() == 0
     assert degeneracy(g) == 0
+    assert adg_order(g).count() == 0
+
+
+def test_orderings_independent_of_shuffle_partitions(spark):
+    """DGR and ADG return the same rows under 1 and 64 shuffle partitions."""
+    pdf = gen.planted_cliques(2, 6, 50, 60, seed=4)
+    key = "spark.sql.shuffle.partitions"
+    saved = spark.conf.get(key)
+    got = []
+    try:
+        for parts in (1, 64):
+            spark.conf.set(key, str(parts))
+            g = Graph.from_pandas(spark, pdf)
+            got.append((sorted(core_decomposition(g).collect()),
+                        sorted(adg_order(g, epsilon=0.1).collect())))
+    finally:
+        spark.conf.set(key, saved)
+    assert got[0] == got[1]
 
 
 # ---------------- ADG (Algorithm 5) ---------------------------------------
